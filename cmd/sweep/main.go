@@ -39,8 +39,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -57,26 +55,12 @@ func main() {
 }
 
 func run() int {
+	grid := sweep.RegisterGridFlags(flag.CommandLine)
 	var (
-		specPath   = flag.String("spec", "", "JSON spec file (flags below are ignored when set)")
-		sizes      = flag.String("n", "256,512", "comma-separated network sizes")
-		degrees    = flag.String("d", "8", "comma-separated H-degrees")
-		deltas     = flag.String("delta", "0.75", "comma-separated fault exponents (0 = no faults)")
-		placements = flag.String("placement", "random", "comma-separated placements (random|clustered|spread|degree|chain)")
-		advs       = flag.String("adv", "none,inflate,suppress,oracle,topology-liar,chain-faker,combo", "comma-separated adversaries")
-		algs       = flag.String("alg", "byzantine", "comma-separated algorithms (basic|byzantine)")
-		epsilons   = flag.String("eps", "0", "comma-separated error parameters (0 = default)")
-		churns     = flag.String("churn", "0", "comma-separated crash-churn fractions")
-		faults     = flag.String("fault", "crash", "comma-separated churn fault models (crash|join)")
-		joins      = flag.String("join", "0", "comma-separated join/rejoin churn fractions (join model)")
-		losses     = flag.String("loss", "0", "comma-separated per-edge message loss probabilities")
-		trials     = flag.Int("trials", 8, "trials per grid cell")
-		seed       = flag.Uint64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: a root directory, \"on\" (user cache dir), or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution: \"on\" (16 lanes), \"off\", or a lane width 1..64 (default: $REPRO_BATCH)")
 		storePath  = flag.String("store", "", "JSONL result store (enables resume)")
 		format     = flag.String("format", "md", "aggregate output format: md | csv")
 		outPath    = flag.String("o", "", "write aggregates to this file (default: stdout)")
@@ -101,30 +85,9 @@ func run() int {
 	}
 	defer flushProfiles(*memProfile)
 
-	var spec sweep.Spec
-	if *specPath != "" {
-		var err error
-		spec, err = sweep.LoadSpec(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		spec = sweep.Spec{
-			Name:        "cli",
-			Sizes:       parseInts(*sizes),
-			Degrees:     parseInts(*degrees),
-			Deltas:      parseFloats(*deltas),
-			Placements:  splitList(*placements),
-			Adversaries: splitList(*advs),
-			Algorithms:  splitList(*algs),
-			Epsilons:    parseFloats(*epsilons),
-			ChurnFracs:  parseFloats(*churns),
-			FaultModels: splitList(*faults),
-			JoinFracs:   parseFloats(*joins),
-			LossProbs:   parseFloats(*losses),
-			Trials:      *trials,
-			Seed:        *seed,
-		}
+	spec, err := grid.Spec()
+	if err != nil {
+		fatal(err)
 	}
 
 	expandStart := time.Now()
@@ -157,16 +120,6 @@ func run() int {
 		Workers:    *workers,
 		RunWorkers: *runWorkers,
 		Cache:      cache,
-	}
-	// The -batch flag overrides the REPRO_BATCH environment default with
-	// the same vocabulary (on/off/width); an unparseable explicit
-	// selection is an error rather than a silent scalar sweep.
-	if *batch != "" {
-		width, err := sweep.ResolveBatch(*batch)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Batch = width
 	}
 	if *storePath != "" {
 		store, err := sweep.OpenStore(*storePath)
@@ -331,38 +284,4 @@ func fatal(err error) {
 	}
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			fatal(fmt.Errorf("bad integer %q: %w", part, err))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad number %q: %w", part, err))
-		}
-		out = append(out, v)
-	}
-	return out
 }

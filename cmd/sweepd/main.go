@@ -33,8 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,6 +47,8 @@ func main() {
 }
 
 func run() int {
+	// Coordinator mode: the grid, in cmd/sweep's vocabulary.
+	grid := sweep.RegisterGridFlags(flag.CommandLine)
 	var (
 		// Worker mode.
 		workerURL  = flag.String("worker", "", "run as a worker against this coordinator URL")
@@ -57,27 +57,10 @@ func run() int {
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: dir, \"on\", or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution: \"on\", \"off\", or width (default: $REPRO_BATCH)")
 		retries    = flag.Int("retries", 0, "transient coordinator-call retries per request (0 = default)")
 		backoff    = flag.Duration("backoff", 0, "first retry delay, doubled per attempt (0 = default)")
 		maxOffline = flag.Duration("max-offline", 0, "drain and exit after the coordinator is unreachable this long (0 = 90s, negative = wait forever)")
 		chaosDelay = flag.Duration("chaos-delay", 0, "inject a random delay up to this duration before every coordinator call (straggler simulation; 0 = off)")
-
-		// Coordinator mode: the grid (cmd/sweep's vocabulary).
-		specPath = flag.String("spec", "", "JSON spec file (grid flags below are ignored when set)")
-		sizes    = flag.String("n", "256,512", "comma-separated network sizes")
-		degrees  = flag.String("d", "8", "comma-separated H-degrees")
-		deltas   = flag.String("delta", "0.75", "comma-separated fault exponents (0 = no faults)")
-		places   = flag.String("placement", "random", "comma-separated placements")
-		advs     = flag.String("adv", "none,inflate,suppress,oracle,topology-liar,chain-faker,combo", "comma-separated adversaries")
-		algs     = flag.String("alg", "byzantine", "comma-separated algorithms (basic|byzantine)")
-		epsilons = flag.String("eps", "0", "comma-separated error parameters")
-		churns   = flag.String("churn", "0", "comma-separated crash-churn fractions")
-		faults   = flag.String("fault", "crash", "comma-separated churn fault models (crash|join)")
-		joins    = flag.String("join", "0", "comma-separated join/rejoin churn fractions")
-		losses   = flag.String("loss", "0", "comma-separated message loss probabilities")
-		trials   = flag.Int("trials", 8, "trials per grid cell")
-		seed     = flag.Uint64("seed", 1, "base seed")
 
 		// Coordinator mode: the service.
 		storePath  = flag.String("store", "", "merged JSONL result store (required; enables resume)")
@@ -110,16 +93,13 @@ func run() int {
 	if *workerURL != "" {
 		return runWorker(ctx, workerConfig{
 			url: *workerURL, name: *name, workers: *workers, runWorkers: *runWorkers,
-			cacheCap: *cacheCap, netstore: *netstore, batch: *batch,
+			cacheCap: *cacheCap, netstore: *netstore,
 			retries: *retries, backoff: *backoff, maxOffline: *maxOffline,
 			chaosDelay: *chaosDelay,
 		})
 	}
 	return runCoordinator(ctx, coordinatorConfig{
-		specPath: *specPath, sizes: *sizes, degrees: *degrees, deltas: *deltas,
-		places: *places, advs: *advs, algs: *algs, epsilons: *epsilons,
-		churns: *churns, faults: *faults, joins: *joins, losses: *losses,
-		trials: *trials, seed: *seed,
+		grid:      grid,
 		storePath: *storePath, journalPath: *journal, shards: *shards, lease: *lease,
 		steal: *steal, stealMin: *stealMin, stealAfter: *stealAfter,
 		httpAddr: *httpAddr, runlogPath: *runlogPath, telePath: *telePath,
@@ -131,7 +111,7 @@ type workerConfig struct {
 	url, name           string
 	workers, runWorkers int
 	cacheCap            int
-	netstore, batch     string
+	netstore            string
 	retries             int
 	backoff, maxOffline time.Duration
 	chaosDelay          time.Duration
@@ -147,13 +127,6 @@ func runWorker(ctx context.Context, cfg workerConfig) int {
 		opts.Cache = sweep.NewNetCacheWithStore(cfg.cacheCap, ns)
 	} else if cfg.cacheCap != 0 {
 		opts.Cache = sweep.NewNetCache(cfg.cacheCap)
-	}
-	if cfg.batch != "" {
-		width, err := sweep.ResolveBatch(cfg.batch)
-		if err != nil {
-			return fail(err)
-		}
-		opts.Batch = width
 	}
 	var hc *http.Client
 	if cfg.chaosDelay > 0 {
@@ -195,48 +168,24 @@ func runWorker(ctx context.Context, cfg workerConfig) int {
 }
 
 type coordinatorConfig struct {
-	specPath, sizes, degrees, deltas, places, advs, algs, epsilons string
-	churns, faults, joins, losses                                  string
-	trials                                                         int
-	seed                                                           uint64
-	storePath, journalPath                                         string
-	shards                                                         int
-	lease                                                          time.Duration
-	steal                                                          string
-	stealMin                                                       int
-	stealAfter                                                     time.Duration
-	httpAddr, runlogPath, telePath, format, outPath                string
-	quiet                                                          bool
+	grid                                            *sweep.GridFlags
+	storePath, journalPath                          string
+	shards                                          int
+	lease                                           time.Duration
+	steal                                           string
+	stealMin                                        int
+	stealAfter                                      time.Duration
+	httpAddr, runlogPath, telePath, format, outPath string
+	quiet                                           bool
 }
 
 func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 	if cfg.storePath == "" {
 		return fail(fmt.Errorf("sweepd: coordinator needs -store (the merged result store)"))
 	}
-	var spec sweep.Spec
-	if cfg.specPath != "" {
-		var err error
-		spec, err = sweep.LoadSpec(cfg.specPath)
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		spec = sweep.Spec{
-			Name:        "cli",
-			Sizes:       parseInts(cfg.sizes),
-			Degrees:     parseInts(cfg.degrees),
-			Deltas:      parseFloats(cfg.deltas),
-			Placements:  splitList(cfg.places),
-			Adversaries: splitList(cfg.advs),
-			Algorithms:  splitList(cfg.algs),
-			Epsilons:    parseFloats(cfg.epsilons),
-			ChurnFracs:  parseFloats(cfg.churns),
-			FaultModels: splitList(cfg.faults),
-			JoinFracs:   parseFloats(cfg.joins),
-			LossProbs:   parseFloats(cfg.losses),
-			Trials:      cfg.trials,
-			Seed:        cfg.seed,
-		}
+	spec, err := cfg.grid.Spec()
+	if err != nil {
+		return fail(err)
 	}
 	expandStart := time.Now()
 	jobs, err := spec.Jobs()
@@ -419,40 +368,4 @@ func progressLoop(ctx context.Context, coord *sweepd.Coordinator) {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, err)
 	return 1
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad integer %q: %v\n", part, err)
-			os.Exit(1)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad number %q: %v\n", part, err)
-			os.Exit(1)
-		}
-		out = append(out, v)
-	}
-	return out
 }

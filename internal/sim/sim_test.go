@@ -99,43 +99,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestAddAggregateMax pins the batched engine's O(1) counter fold against
-// per-message accounting: partitioning a message stream into arbitrary
-// chunks, pre-reducing each chunk to (messages, bits, maxBits), and
-// folding the chunks must reproduce the exact totals and maximum that
-// per-message CountMessages calls produce.
-func TestAddAggregateMax(t *testing.T) {
-	sizes := []int{64, 70, 65, 91, 64, 80, 70, 66, 72, 95, 64, 68}
-	counts := []int{3, 1, 7, 2, 5, 1, 4, 2, 9, 1, 6, 3}
-	var perMsg Counters
-	for i, bits := range sizes {
-		perMsg.CountMessages(counts[i], bits)
-	}
-	for _, chunks := range [][]int{{12}, {1, 11}, {4, 4, 4}, {5, 3, 2, 2}} {
-		var folded Counters
-		start := 0
-		for _, width := range chunks {
-			var msgs, bits, maxb int64
-			for i := start; i < start+width; i++ {
-				msgs += int64(counts[i])
-				bits += int64(counts[i]) * int64(sizes[i])
-				if int64(sizes[i]) > maxb {
-					maxb = int64(sizes[i])
-				}
-			}
-			folded.AddAggregateMax(msgs, bits, maxb)
-			start += width
-		}
-		// An empty fold (a chunk whose lanes were all quiet) must be a no-op.
-		folded.AddAggregateMax(0, 0, 0)
-		if folded.Messages() != perMsg.Messages() || folded.Bits() != perMsg.Bits() || folded.MaxMessageBits() != perMsg.MaxMessageBits() {
-			t.Fatalf("chunks %v: folded (%d, %d, max %d) != per-message (%d, %d, max %d)",
-				chunks, folded.Messages(), folded.Bits(), folded.MaxMessageBits(),
-				perMsg.Messages(), perMsg.Bits(), perMsg.MaxMessageBits())
-		}
-	}
-}
-
 func TestCountersZeroCount(t *testing.T) {
 	var c Counters
 	c.CountMessages(0, 100)

@@ -37,14 +37,6 @@ type Monitor struct {
 	tiers   map[string]int
 	cache   *NetCache
 	reg     *obs.Registry
-
-	// Batched-execution tallies: batched counts jobs that ran as lanes
-	// of a multi-lane invocation, and batchInv accumulates 1/width per
-	// such job — each invocation's lanes sum to exactly one invocation —
-	// so batched/batchInv is the mean lane width without the monitor
-	// ever seeing invocation boundaries.
-	batched  int
-	batchInv float64
 }
 
 // NewMonitor returns a monitor for a sweep of total jobs. cache supplies
@@ -95,10 +87,6 @@ func (m *Monitor) Observe(done, total int, out Outcome) {
 	if out.CacheTier != "" {
 		m.tiers[out.CacheTier]++
 	}
-	if out.BatchLanes > 1 {
-		m.batched++
-		m.batchInv += 1 / float64(out.BatchLanes)
-	}
 }
 
 // StageStat is one row of the stage-time breakdown.
@@ -108,8 +96,14 @@ type StageStat struct {
 	// that actually ran (expand, a sweep-level stage, reports no mean).
 	TotalMS float64 `json:"total_ms"`
 	MeanMS  float64 `json:"mean_ms,omitempty"`
-	// Share is the stage's fraction of all accounted stage time.
+	// Share is the stage's fraction of the top-level stage total
+	// (expand + cache_lookup + run + aggregate), so top-level shares
+	// sum to 1.
 	Share float64 `json:"share"`
+	// Sub marks a sub-stage of cache_lookup (generate, disk_load): its
+	// time is already inside cache_lookup's, so its share is shown
+	// against the same total but not added into it.
+	Sub bool `json:"sub,omitempty"`
 }
 
 // CacheStatus is the cache tiers' live hit accounting.
@@ -143,12 +137,6 @@ type Status struct {
 	CacheTiers map[string]int `json:"cache_tiers,omitempty"`
 	Cache      *CacheStatus   `json:"cache,omitempty"`
 	Telemetry  obs.Snapshot   `json:"telemetry"`
-
-	// BatchedJobs counts jobs executed as lanes of multi-lane batched
-	// invocations; BatchMeanLanes is those invocations' mean lane width
-	// (0 when nothing batched).
-	BatchedJobs    int     `json:"batched_jobs,omitempty"`
-	BatchMeanLanes float64 `json:"batch_mean_lanes,omitempty"`
 }
 
 // Status renders the monitor's current view.
@@ -170,10 +158,6 @@ func (m *Monitor) Status() Status {
 		for tier, n := range m.tiers {
 			s.CacheTiers[tier] = n
 		}
-	}
-	if m.batched > 0 && m.batchInv > 0 {
-		s.BatchedJobs = m.batched
-		s.BatchMeanLanes = float64(m.batched) / m.batchInv
 	}
 	cache, reg := m.cache, m.reg
 	m.mu.Unlock()
@@ -201,29 +185,33 @@ func (m *Monitor) Status() Status {
 }
 
 // stageStats builds the breakdown rows: the sweep-level expand stage
-// followed by the per-job stages, shares normalized over everything
-// accounted. Zero-duration stages are kept — a zero is information
+// followed by the per-job stages. Shares are normalized over the
+// top-level stages only; the generate and disk_load sub-stages happen
+// inside cache_lookup, so adding them to the total would count that
+// time twice. Zero-duration stages are kept — a zero is information
 // (the tier was wired but idle, e.g. no disk store attached).
 func stageStats(expand time.Duration, stages StageTimes, ran int) []StageStat {
 	rows := []struct {
-		name   string
-		d      time.Duration
-		perJob bool
+		name        string
+		d           time.Duration
+		perJob, sub bool
 	}{
-		{"expand", expand, false},
-		{"cache_lookup", stages.CacheLookup, true},
-		{"generate", stages.Generate, true},
-		{"disk_load", stages.DiskLoad, true},
-		{"run", stages.Run, true},
-		{"aggregate", stages.Aggregate, true},
+		{"expand", expand, false, false},
+		{"cache_lookup", stages.CacheLookup, true, false},
+		{"generate", stages.Generate, true, true},
+		{"disk_load", stages.DiskLoad, true, true},
+		{"run", stages.Run, true, false},
+		{"aggregate", stages.Aggregate, true, false},
 	}
 	var sum time.Duration
 	for _, r := range rows {
-		sum += r.d
+		if !r.sub {
+			sum += r.d
+		}
 	}
 	out := make([]StageStat, 0, len(rows))
 	for _, r := range rows {
-		st := StageStat{Stage: r.name, TotalMS: float64(r.d.Microseconds()) / 1000}
+		st := StageStat{Stage: r.name, TotalMS: float64(r.d.Microseconds()) / 1000, Sub: r.sub}
 		if r.perJob && ran > 0 {
 			st.MeanMS = st.TotalMS / float64(ran)
 		}
@@ -237,13 +225,12 @@ func stageStats(expand time.Duration, stages StageTimes, ran int) []StageStat {
 
 // Breakdown renders the end-of-sweep stage-time table. Generation and
 // disk-load rows are sub-stages of cache_lookup (the creator's cost,
-// observed inside the lookup), so shares are reported against the
-// job-stage total with cache_lookup's internals left visible rather
-// than double-counted away.
+// observed inside the lookup): they are indented under it, with shares
+// against the same top-level total, so the unindented shares sum to
+// 100%.
 func (m *Monitor) Breakdown() string {
 	m.mu.Lock()
 	expand, stages, ran := m.expand, m.stages, m.ran
-	batched, batchInv := m.batched, m.batchInv
 	m.mu.Unlock()
 
 	var b strings.Builder
@@ -254,12 +241,12 @@ func (m *Monitor) Breakdown() string {
 		if st.MeanMS > 0 {
 			mean = fmtMS(st.MeanMS)
 		}
+		name := st.Stage
+		if st.Sub {
+			name = "  " + name
+		}
 		fmt.Fprintf(&b, "  %-14s %12s %12s %6.1f%%\n",
-			st.Stage, fmtMS(st.TotalMS), mean, st.Share*100)
-	}
-	if batched > 0 && batchInv > 0 {
-		fmt.Fprintf(&b, "  batched: %d jobs in %.0f invocations, mean lane width %.1f\n",
-			batched, batchInv, float64(batched)/batchInv)
+			name, fmtMS(st.TotalMS), mean, st.Share*100)
 	}
 	return b.String()
 }

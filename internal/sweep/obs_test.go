@@ -10,9 +10,11 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/hgraph"
 	"repro/internal/obs"
@@ -443,6 +445,45 @@ func TestMonitorStatus(t *testing.T) {
 		if !bytes.Contains([]byte(table), []byte(stage)) {
 			t.Fatalf("breakdown missing %q:\n%s", stage, table)
 		}
+	}
+}
+
+// TestStageStatsShares pins the breakdown's denominator: generate and
+// disk_load happen inside cache_lookup, so only the top-level stages
+// (expand, cache_lookup, run, aggregate) make up the total. Their
+// shares sum to 1, and each sub-stage's share is measured against that
+// same total.
+func TestStageStatsShares(t *testing.T) {
+	stages := StageTimes{
+		CacheLookup: 30 * time.Millisecond,
+		Generate:    20 * time.Millisecond,
+		DiskLoad:    5 * time.Millisecond,
+		Run:         50 * time.Millisecond,
+		Aggregate:   10 * time.Millisecond,
+	}
+	rows := stageStats(10*time.Millisecond, stages, 4)
+	want := map[string]float64{
+		"expand": 0.1, "cache_lookup": 0.3, "generate": 0.2,
+		"disk_load": 0.05, "run": 0.5, "aggregate": 0.1,
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(rows), len(want), rows)
+	}
+	top := 0.0
+	for _, st := range rows {
+		w, ok := want[st.Stage]
+		if !ok {
+			t.Fatalf("unexpected stage %q", st.Stage)
+		}
+		if math.Abs(st.Share-w) > 1e-9 {
+			t.Errorf("%s share = %v, want %v", st.Stage, st.Share, w)
+		}
+		if st.Stage != "generate" && st.Stage != "disk_load" {
+			top += st.Share
+		}
+	}
+	if math.Abs(top-1) > 1e-9 {
+		t.Fatalf("top-level shares sum to %v, want 1", top)
 	}
 }
 

@@ -53,15 +53,6 @@ type Options struct {
 	// scheduler step (sweep start/end, job start/finish, resume skips).
 	// Logging is best effort — a failing run-log never fails a job.
 	RunLog *obs.RunLog
-	// Batch caps the lane width of lockstep batched execution: pending
-	// jobs sharing a topology and protocol schedule run as lanes of one
-	// core.RunBatch invocation (per-job Outcomes, Records, keys, and
-	// digests are unchanged — grouping is pure scheduling). 0 consults
-	// the REPRO_BATCH environment variable (off when unset); 1 disables
-	// batching; larger widths are clamped to core.MaxBatchLanes. A
-	// per-job Observer disables batching, and occupancy-recording jobs
-	// fall back to the scalar engine individually.
-	Batch int
 	// Drop, when non-nil, is consulted immediately before a pending job
 	// would execute; returning true abandons the job without running
 	// it. The outcome is marked Dropped (no Summary, no store write, no
@@ -119,11 +110,6 @@ type Outcome struct {
 	CacheTier string
 	Worker    int
 
-	// BatchLanes is the lane count of the batched invocation that
-	// executed this job (1 when it ran the scalar engine alone, 0 for
-	// store hits and jobs that failed before execution).
-	BatchLanes int
-
 	// Populated only when Options.KeepResults is set and the job actually
 	// ran (store hits carry only the Summary):
 	Result   *core.Result
@@ -147,15 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = obs.Default
-	}
-	if o.Batch == 0 {
-		o.Batch = EnvBatch()
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.Batch > core.MaxBatchLanes {
-		o.Batch = core.MaxBatchLanes
 	}
 	if o.Cache == nil {
 		o.Cache = NewNetCache(0)
@@ -215,7 +192,6 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 	_ = opts.RunLog.Event("sweep_start", map[string]any{
 		"jobs": len(jobs), "pending": len(pending),
 		"resumed": len(jobs) - len(pending), "workers": opts.Workers,
-		"batch": opts.Batch,
 	})
 	for _, i := range skipped {
 		_ = opts.RunLog.Event("job_skip", map[string]any{
@@ -247,17 +223,12 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 	// per-job accounting below is then pure atomics, no name lookups.
 	tele := newRunTelemetry(opts.Telemetry)
 
-	// Group pending jobs into work items: compatible jobs become lanes of
-	// one batched invocation, everything else stays a singleton running
-	// the scalar engine.
-	items := batchPlan(jobs, pending, opts)
-
 	// executed marks jobs a worker actually picked up; each index is
 	// written by exactly one worker before wg.Wait, so the post-drain
 	// scan below is race-free.
 	executed := make([]bool, len(jobs))
 
-	work := make(chan []int)
+	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -266,85 +237,48 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 			// One simulation arena per worker, reused across jobs: the
 			// engine's per-run state and sim.Pool are rewound by Reset
 			// instead of reallocated, and cache-hit jobs reuse the
-			// cached network's precomputed topology tables. The batched
-			// arena is created on first batched item only — a scalar
-			// sweep never pays for it.
+			// cached network's precomputed topology tables.
 			arena := core.NewWorld()
 			defer arena.Close()
-			var barena *core.BatchWorld
-			defer func() {
-				if barena != nil {
-					barena.Close()
-				}
-			}()
-			for item := range work {
-				// Shed dropped jobs at dispatch, not at plan time: a Drop
-				// verdict can arrive (a steal notification) between the
-				// batch plan and this item's turn on the worker.
-				if opts.Drop != nil {
-					kept := item[:0]
-					for _, i := range item {
-						if opts.Drop(jobs[i]) {
-							executed[i] = true
-							outs[i] = Outcome{Job: jobs[i], Dropped: true, Worker: -1}
-							_ = opts.RunLog.Event("job_drop", map[string]any{
-								"key": jobs[i].Key(), "label": jobs[i].Label(),
-							})
-							report(i)
-							continue
-						}
-						kept = append(kept, i)
-					}
-					item = kept
-					if len(item) == 0 {
-						continue
-					}
-				}
-				for _, i := range item {
-					executed[i] = true
-					_ = opts.RunLog.Event("job_start", map[string]any{
-						"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
-						"lanes": len(item),
+			for i := range work {
+				executed[i] = true
+				// Shed dropped jobs at dispatch: a Drop verdict can arrive
+				// (a steal notification) while the job waits in the feed.
+				if opts.Drop != nil && opts.Drop(jobs[i]) {
+					outs[i] = Outcome{Job: jobs[i], Dropped: true, Worker: -1}
+					_ = opts.RunLog.Event("job_drop", map[string]any{
+						"key": jobs[i].Key(), "label": jobs[i].Label(),
 					})
-				}
-				start := time.Now()
-				if len(item) == 1 {
-					i := item[0]
-					out := execute(jobs[i], opts, arena, tele)
-					out.BatchLanes = 1
-					outs[i] = out
-				} else {
-					if barena == nil {
-						barena = core.NewBatchWorld()
-					}
-					executeBatch(jobs, item, opts, barena, tele, outs)
-				}
-				ms := float64(time.Since(start).Microseconds()) / 1000 / float64(len(item))
-				for _, i := range item {
-					outs[i].Worker = worker
-					fields := map[string]any{
-						"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
-						"ms":     ms,
-						"tier":   outs[i].CacheTier,
-						"stages": outs[i].Stages,
-						"lanes":  outs[i].BatchLanes,
-					}
-					if outs[i].Err != nil {
-						fields["err"] = outs[i].Err.Error()
-					}
-					_ = opts.RunLog.Event("job_done", fields)
 					report(i)
+					continue
 				}
+				_ = opts.RunLog.Event("job_start", map[string]any{
+					"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
+				})
+				start := time.Now()
+				outs[i] = execute(jobs[i], opts, arena, tele)
+				outs[i].Worker = worker
+				fields := map[string]any{
+					"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
+					"ms":     float64(time.Since(start).Microseconds()) / 1000,
+					"tier":   outs[i].CacheTier,
+					"stages": outs[i].Stages,
+				}
+				if outs[i].Err != nil {
+					fields["err"] = outs[i].Err.Error()
+				}
+				_ = opts.RunLog.Event("job_done", fields)
+				report(i)
 			}
 		}(w)
 	}
-	// Feed items until the list is exhausted or the context is canceled:
-	// cancellation stops dispatch, in-flight items drain (their results
+	// Feed jobs until the list is exhausted or the context is canceled:
+	// cancellation stops dispatch, in-flight jobs drain (their results
 	// land in the store as usual), and the remainder is marked below.
 feed:
-	for _, item := range items {
+	for _, i := range pending {
 		select {
-		case work <- item:
+		case work <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -407,11 +341,6 @@ type runTelemetry struct {
 	dropped  *obs.Counter // "core.dropped_messages"
 	rejoins  *obs.Counter // "core.rejoins"
 
-	// Batched-execution accounting: lanes over invocations is the mean
-	// lane occupancy the breakdown table reports.
-	batchLanes       *obs.Counter // "core.batch.lanes"
-	batchInvocations *obs.Counter // "core.batch.invocations"
-
 	stageLookup *obs.Timer // "sweep.stage.cache_lookup"
 	stageGen    *obs.Timer // "sweep.stage.generate"
 	stageDisk   *obs.Timer // "sweep.stage.disk_load"
@@ -430,9 +359,6 @@ func newRunTelemetry(reg *obs.Registry) runTelemetry {
 		bits:     reg.Counter("core.bits"),
 		dropped:  reg.Counter("core.dropped_messages"),
 		rejoins:  reg.Counter("core.rejoins"),
-
-		batchLanes:       reg.Counter("core.batch.lanes"),
-		batchInvocations: reg.Counter("core.batch.invocations"),
 
 		stageLookup: reg.Timer("sweep.stage.cache_lookup"),
 		stageGen:    reg.Timer("sweep.stage.generate"),
