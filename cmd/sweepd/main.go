@@ -60,16 +60,13 @@ func run() int {
 		retries    = flag.Int("retries", 0, "transient coordinator-call retries per request (0 = default)")
 		backoff    = flag.Duration("backoff", 0, "first retry delay, doubled per attempt (0 = default)")
 		maxOffline = flag.Duration("max-offline", 0, "drain and exit after the coordinator is unreachable this long (0 = 90s, negative = wait forever)")
-		chaosDelay = flag.Duration("chaos-delay", 0, "inject a random delay up to this duration before every coordinator call (straggler simulation; 0 = off)")
+		chaosDelay = flag.Duration("chaos-delay", 0, "inject a random delay up to this duration before every coordinator call, making this worker a straggler (CI's straggler smoke; 0 = off)")
 
 		// Coordinator mode: the service.
 		storePath  = flag.String("store", "", "merged JSONL result store (required; enables resume)")
 		journal    = flag.String("journal", "", "coordinator crash-recovery journal (default: <store>.journal; \"off\" disables epoch fencing)")
 		shards     = flag.Int("shards", 0, "content-key-range shard count (0 = default)")
 		lease      = flag.Duration("lease", 0, "lease TTL before a silent worker's shard reassigns (0 = default)")
-		steal      = flag.String("steal", "", "work stealing: split straggling shards for idle workers, \"on\" or \"off\" (default: $REPRO_STEAL)")
-		stealMin   = flag.Int("steal-min", 0, "minimum unreported jobs a shard must hold to be split (0 = default)")
-		stealAfter = flag.Duration("steal-after", 0, "how long a shard may stall before it is steal-eligible (0 = half the lease TTL)")
 		httpAddr   = flag.String("http", ":9900", "coordinator listen address")
 		runlogPath = flag.String("runlog", "", "JSONL run-log path (default: <store>.runlog; \"off\" disables)")
 		telePath   = flag.String("telemetry", "", "write the final coordinator status (JSON) to this file")
@@ -101,7 +98,6 @@ func run() int {
 	return runCoordinator(ctx, coordinatorConfig{
 		grid:      grid,
 		storePath: *storePath, journalPath: *journal, shards: *shards, lease: *lease,
-		steal: *steal, stealMin: *stealMin, stealAfter: *stealAfter,
 		httpAddr: *httpAddr, runlogPath: *runlogPath, telePath: *telePath,
 		format: *format, outPath: *outPath, quiet: *quiet,
 	})
@@ -132,8 +128,9 @@ func runWorker(ctx context.Context, cfg workerConfig) int {
 	if cfg.chaosDelay > 0 {
 		// A degraded machine, on demand: every coordinator call waits a
 		// seeded-random slice of -chaos-delay first, so this worker
-		// claims, reports, and heartbeats like a straggler. CI's steal
-		// smoke leg uses it to force a shard split deterministically.
+		// claims, reports, and heartbeats like a straggler. CI's straggler
+		// smoke leg uses it to check that a fleet with more shards than
+		// workers absorbs a slow worker.
 		hc = &http.Client{Transport: &chaos.Transport{
 			Plan: chaos.NetPlan{Seed: 1, Delay: 1, MaxDelay: cfg.chaosDelay},
 		}}
@@ -172,9 +169,6 @@ type coordinatorConfig struct {
 	storePath, journalPath                          string
 	shards                                          int
 	lease                                           time.Duration
-	steal                                           string
-	stealMin                                        int
-	stealAfter                                      time.Duration
 	httpAddr, runlogPath, telePath, format, outPath string
 	quiet                                           bool
 }
@@ -228,33 +222,19 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 		}
 	}
 
-	stealOn := sweepd.EnvSteal()
-	if cfg.steal != "" {
-		stealOn, err = sweepd.ResolveSteal(cfg.steal)
-		if err != nil {
-			return fail(err)
-		}
-	}
-
 	mon := sweep.NewMonitor(spec.Name, len(jobs), nil, nil)
 	mon.SetExpand(expand)
 	coord, err := sweepd.NewCoordinator(jobs, sweepd.Config{
-		Name:       spec.Name,
-		Store:      store,
-		Shards:     cfg.shards,
-		LeaseTTL:   cfg.lease,
-		Monitor:    mon,
-		RunLog:     runlog,
-		Journal:    journal,
-		Steal:      stealOn,
-		StealMin:   cfg.stealMin,
-		StealAfter: cfg.stealAfter,
+		Name:     spec.Name,
+		Store:    store,
+		Shards:   cfg.shards,
+		LeaseTTL: cfg.lease,
+		Monitor:  mon,
+		RunLog:   runlog,
+		Journal:  journal,
 	})
 	if err != nil {
 		return fail(err)
-	}
-	if stealOn {
-		fmt.Fprintln(os.Stderr, "work stealing on: straggling shards split for idle workers")
 	}
 	if journal != nil {
 		fmt.Fprintf(os.Stderr, "journal %s (epoch %d): a restarted coordinator resumes this sweep and fences stale leases\n",
@@ -316,10 +296,6 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 	if ran > 0 {
 		fmt.Fprint(os.Stderr, mon.Breakdown())
 	}
-	if st := coord.Status(); st.Shards.Split > 0 || st.Shards.StealsRejected > 0 {
-		fmt.Fprintf(os.Stderr, "  steals: %d shards split, %d jobs stolen, %d evaluations declined\n",
-			st.Shards.Split, st.Shards.JobsStolen, st.Shards.StealsRejected)
-	}
 	writeStatus()
 
 	groups := sweep.Aggregate(outs)
@@ -340,6 +316,10 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells)\n", cfg.outPath, len(groups))
 	}
+	// Keep serving until every worker seen within one lease TTL has been
+	// answered Done (at most one TTL), so idle workers exit 0 instead of
+	// finding the coordinator gone; the deferred srv.Close follows.
+	coord.Linger(ctx)
 	if coord.Errors() > 0 {
 		return 1
 	}

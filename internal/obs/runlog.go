@@ -1,8 +1,8 @@
 package obs
 
 // runlog.go is the structured JSONL run-log: one line per scheduler
-// lifecycle event (sweep start/end, job start/finish/skip/drop, and —
-// under a sweepd coordinator — shard splits from work stealing),
+// lifecycle event (sweep start/end, job start/finish/skip, and, under
+// a sweepd coordinator, shard claims, reassignments and completions),
 // written beside the result store so a sweep's execution history
 // travels with its results. The format matches the result store's durability
 // contract: O_APPEND opens, one Write per line, unparseable lines are
@@ -28,9 +28,8 @@ type RunEvent struct {
 	// end).
 	TimeMS float64 `json:"ts_ms"`
 	// Event names the lifecycle step: sweep_start, job_start, job_done,
-	// job_skip, job_drop (a worker shedding a job stolen from its
-	// shard), shard_split (a sweepd coordinator cutting a straggler's
-	// remainder for an idle worker), sweep_end.
+	// job_skip, sweep_end, and a sweepd coordinator's shard_claim,
+	// shard_reassign and shard_complete.
 	Event  string         `json:"event"`
 	Fields map[string]any `json:"fields,omitempty"`
 }

@@ -70,11 +70,6 @@ func (m *Monitor) Observe(done, total int, out Outcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.done, m.total = done, total
-	if out.Dropped {
-		// Dropped jobs were shed unrun (a sweepd worker losing stolen
-		// work); they occupy a progress slot but ran nothing.
-		return
-	}
 	if out.Err != nil {
 		m.errors++
 	}

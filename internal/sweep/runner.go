@@ -53,15 +53,6 @@ type Options struct {
 	// scheduler step (sweep start/end, job start/finish, resume skips).
 	// Logging is best effort — a failing run-log never fails a job.
 	RunLog *obs.RunLog
-	// Drop, when non-nil, is consulted immediately before a pending job
-	// would execute; returning true abandons the job without running
-	// it. The outcome is marked Dropped (no Summary, no store write, no
-	// error — the job simply ceased to be this scheduler's problem) and
-	// Progress still fires so callers see the slot accounted. sweepd
-	// workers use it to shed jobs the coordinator stole from their
-	// shard mid-run; a nil Drop leaves the scheduler byte-identical to
-	// its pre-Drop behavior.
-	Drop func(Job) bool
 }
 
 // StageTimes partitions one job's wall-clock time across the runner's
@@ -95,10 +86,7 @@ type Outcome struct {
 	Summary metrics.Summary
 	// FromStore marks jobs satisfied by the result store without running.
 	FromStore bool
-	// Dropped marks jobs abandoned unrun by Options.Drop (a sweepd
-	// worker shedding stolen work). No Summary, no Err.
-	Dropped bool
-	Err     error
+	Err       error
 
 	// Stages partitions the job's wall time (zero for store hits), and
 	// CacheTier records how its topology was obtained — TierMem, TierDisk,
@@ -242,16 +230,6 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 			defer arena.Close()
 			for i := range work {
 				executed[i] = true
-				// Shed dropped jobs at dispatch: a Drop verdict can arrive
-				// (a steal notification) while the job waits in the feed.
-				if opts.Drop != nil && opts.Drop(jobs[i]) {
-					outs[i] = Outcome{Job: jobs[i], Dropped: true, Worker: -1}
-					_ = opts.RunLog.Event("job_drop", map[string]any{
-						"key": jobs[i].Key(), "label": jobs[i].Label(),
-					})
-					report(i)
-					continue
-				}
 				_ = opts.RunLog.Event("job_start", map[string]any{
 					"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
 				})

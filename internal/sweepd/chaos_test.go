@@ -335,13 +335,14 @@ func TestChaosCoordinatorCrashRestart(t *testing.T) {
 // runStragglerFleet runs n chaos workers until stop(); worker 0 is a
 // straggler whose first finished job stalls the scheduler's serial
 // progress callback for stall — its shard keeps heartbeating (the lease
-// stays live) while reporting nothing, which is exactly the profile the
-// steal policy exists for.
-func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, seed uint64, stall time.Duration, stop func() bool) []*chaos.Transport {
+// stays live) while reporting nothing. stalled reports whether the
+// stall actually fired.
+func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, seed uint64, stall time.Duration, stop func() bool) (transports []*chaos.Transport, stalled bool) {
 	t.Helper()
 	var stallOnce sync.Once
 	stallFirst := func(sweep.Outcome) {
 		stallOnce.Do(func() {
+			stalled = true
 			select {
 			case <-time.After(stall):
 			case <-ctx.Done():
@@ -349,7 +350,6 @@ func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, see
 		})
 	}
 	var mu sync.Mutex
-	var transports []*chaos.Transport
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -371,33 +371,30 @@ func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, see
 		}(i)
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return transports
+	return transports, stalled
 }
 
-// TestChaosStragglerStealByteIdentical is the tentpole property: with a
-// straggler pinning its shard under a live lease — the lease TTL is a
-// minute, so expiry-based reassignment cannot be what saves the sweep —
-// the idle rest of the fleet must steal the straggler's unreported
-// remainder, and the finished sweep must still be byte-identical to a
-// clean single-process run. Non-vacuity is asserted: at least one shard
-// was actually split.
-func TestChaosStragglerStealByteIdentical(t *testing.T) {
+// TestChaosStragglerByteIdentical: with a straggler pinning its shard
+// under a live lease — the lease TTL is a minute, so expiry-based
+// reassignment cannot be what saves the sweep — a fleet with at least
+// four shards per worker must finish around it, and the finished sweep
+// must still be byte-identical to a clean single-process run. The rest
+// of the fleet drains the other shards while the straggler stalls; no
+// shard ever moves between live workers. Non-vacuity is asserted: the
+// stall fired and the transports injected faults.
+func TestChaosStragglerByteIdentical(t *testing.T) {
 	jobs := testJobs(t)
 	baseOuts, baseMD := baseline(t, jobs)
 
+	const fleet = 3
 	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	coord, err := NewCoordinator(jobs, Config{
-		Name: "dist", Store: store, Shards: 4,
-		// A long TTL forces the point: the straggler's shard can only
-		// finish through a split, never through lease expiry.
-		LeaseTTL: time.Minute, Steal: true, StealAfter: 300 * time.Millisecond,
-		Telemetry: obs.NewRegistry(),
+		Name: "dist", Store: store, Shards: 4 * fleet,
+		LeaseTTL: time.Minute, Telemetry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -407,29 +404,27 @@ func TestChaosStragglerStealByteIdentical(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	transports := runStragglerFleet(ctx, t, srv.URL, 3, 7, 2*time.Second, coord.Finished)
+	transports, stalled := runStragglerFleet(ctx, t, srv.URL, fleet, 7, 2*time.Second, coord.Finished)
 	if ctx.Err() != nil {
 		t.Fatal("fleet did not converge around the straggler")
 	}
 	if !coord.Finished() {
 		t.Fatal("workers drained but coordinator not finished")
 	}
+	if !stalled {
+		t.Fatal("the straggler never stalled — the property is vacuous")
+	}
 	if n := totalFaults(transports); n == 0 {
 		t.Fatal("straggler run injected no network faults — the property is vacuous")
 	}
-	st := coord.Status()
-	if st.Shards.Split < 1 {
-		t.Fatal("no shard was split — the steal property is vacuous")
-	}
-	t.Logf("steals: %d splits, %d jobs stolen, %d declined", st.Shards.Split, st.Shards.JobsStolen, st.Shards.StealsRejected)
 
 	outs := coord.Outcomes()
 	if md := sweep.Markdown("Sweep dist", sweep.Aggregate(outs)); md != baseMD {
-		t.Fatalf("aggregates diverged from clean run across a steal:\n%s\nvs\n%s", md, baseMD)
+		t.Fatalf("aggregates diverged from clean run around a straggler:\n%s\nvs\n%s", md, baseMD)
 	}
 	for i := range outs {
 		if !reflect.DeepEqual(outs[i].Summary, baseOuts[i].Summary) {
-			t.Fatalf("job %d summary diverged across a steal", i)
+			t.Fatalf("job %d summary diverged around a straggler", i)
 		}
 	}
 	for i, j := range jobs {
@@ -441,136 +436,4 @@ func TestChaosStragglerStealByteIdentical(t *testing.T) {
 			t.Fatalf("stored summary for job %d diverged", i)
 		}
 	}
-}
-
-// TestChaosCoordinatorCrashAfterSplit kills the coordinator after a
-// steal has been journaled but before the sweep finishes: the successor
-// must recover the post-split geometry from the journal's cut keys,
-// fence every pre-crash lease (victim's and thief's alike), and drain
-// to byte-identical aggregates with the work-stealing fleet still
-// hammering it.
-func TestChaosCoordinatorCrashAfterSplit(t *testing.T) {
-	jobs := testJobs(t)
-	baseOuts, baseMD := baseline(t, jobs)
-	dir := t.TempDir()
-	storePath := filepath.Join(dir, "results.jsonl")
-	journalPath := filepath.Join(dir, "sweep.journal")
-
-	boot := func(addr string) (*Coordinator, *Journal, *sweep.Store, net.Listener) {
-		t.Helper()
-		store, err := sweep.OpenStore(storePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := OpenJournal(journalPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The TTL is long enough that the pre-crash split comes from the
-		// steal policy (staleness threshold 300ms), but finite: a chaos
-		// schedule can eat a /claim response, leaving a 1-job shard —
-		// which stealing refuses to split, by design — leased to a worker
-		// that never learned it owns it. Only expiry recovers that.
-		coord, err := NewCoordinator(jobs, Config{
-			Name: "dist", Store: store, Shards: 4, Journal: j,
-			LeaseTTL: 5 * time.Second, Steal: true, StealAfter: 300 * time.Millisecond,
-			Telemetry: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ln net.Listener
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			ln, err = net.Listen("tcp", addr)
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("rebind %s: %v", addr, err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		return coord, j, store, ln
-	}
-
-	c1, j1, store1, ln1 := boot("127.0.0.1:0")
-	if j1.Epoch != 1 {
-		t.Fatalf("first boot epoch = %d, want 1", j1.Epoch)
-	}
-	addr := ln1.Addr().String()
-	srv1 := &http.Server{Handler: c1.Handler()}
-	go srv1.Serve(ln1)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	var phase2 func() bool
-	var mu sync.Mutex
-	stop := func() bool {
-		mu.Lock()
-		f := phase2
-		mu.Unlock()
-		return f != nil && f()
-	}
-	fleetDone := make(chan []*chaos.Transport, 1)
-	go func() { fleetDone <- runStragglerFleet(ctx, t, "http://"+addr, 3, 42, 2*time.Second, stop) }()
-
-	// The crash is aimed: wait until a split is journaled, then pull the
-	// plug with the sweep unfinished.
-	for deadline := time.Now().Add(time.Minute); ; {
-		if c1.Status().Shards.Split >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no split happened before the planned crash")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	srv1.Close() // crash: no handover, no store close, split only in the journal
-	time.Sleep(50 * time.Millisecond)
-
-	c2, j2, store2, ln2 := boot(addr)
-	defer store2.Close()
-	if j2.Epoch != 2 {
-		t.Fatalf("post-crash boot epoch = %d, want 2", j2.Epoch)
-	}
-	if len(j2.Cuts) < 1 {
-		t.Fatal("successor journal lost the recorded cut")
-	}
-	srv2 := &http.Server{Handler: c2.Handler()}
-	go srv2.Serve(ln2)
-	defer srv2.Close()
-	mu.Lock()
-	phase2 = c2.Finished
-	mu.Unlock()
-
-	select {
-	case <-c2.Done():
-	case <-ctx.Done():
-		t.Fatal("sweep did not finish after the mid-split crash")
-	}
-	transports := <-fleetDone
-	if n := totalFaults(transports); n == 0 {
-		t.Fatal("crash run injected no network faults — weaken nothing, fix the plan")
-	}
-
-	outs := c2.Outcomes()
-	if md := sweep.Markdown("Sweep dist", sweep.Aggregate(outs)); md != baseMD {
-		t.Fatalf("aggregates diverged across a mid-split crash:\n%s\nvs\n%s", md, baseMD)
-	}
-	for i := range outs {
-		if !reflect.DeepEqual(outs[i].Summary, baseOuts[i].Summary) {
-			t.Fatalf("job %d summary diverged across a mid-split crash", i)
-		}
-	}
-	for i, j := range jobs {
-		rec, ok := store2.Lookup(j.Key())
-		if !ok {
-			t.Fatalf("store missing record for job %d after mid-split crash", i)
-		}
-		if !reflect.DeepEqual(rec.Summary, baseOuts[i].Summary) {
-			t.Fatalf("stored summary for job %d diverged across mid-split crash", i)
-		}
-	}
-	_ = store1 // never closed: the crash dropped it
 }

@@ -14,6 +14,7 @@ package sweepd
 // single-process sweep's do.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -63,83 +64,54 @@ type Config struct {
 	// the epoch, so tokens from a pre-crash incarnation 409 instead of
 	// colliding, and the journal's recorded shard count overrides
 	// Config.Shards so a restart re-partitions the remaining keyspace
-	// with the original geometry (journaled steal cuts replay on top).
+	// with the original geometry.
 	Journal *Journal
-
-	// Steal enables work stealing: an idle claimer may trigger a split
-	// of a straggling shard's unreported suffix instead of polling
-	// until the straggler's lease expires. Off (the default) preserves
-	// the lease-expiry-only coordinator bit-for-bit.
-	Steal bool
-	// StealMin is the minimum unreported remainder (jobs) a shard must
-	// hold to be split (0: DefaultStealMin). A remainder of 1 never
-	// splits — the victim must retain work.
-	StealMin int
-	// StealAfter is how long a shard must go without progress before it
-	// counts as straggling (0: LeaseTTL/2).
-	StealAfter time.Duration
 
 	// clock overrides time.Now for lease-expiry tests.
 	clock func() time.Time
 }
 
 // shardMeta is the coordinator's per-shard progress view, fed by the
-// Done/Total fields workers piggyback on heartbeats and reports plus
-// the records they land. It exists for observability (/status rows)
-// and as the steal policy's staleness signal; nothing here affects
-// which records are accepted.
+// Done/Total fields workers piggyback on heartbeats and reports. It
+// exists for observability (/status rows); nothing here affects which
+// records are accepted.
 type shardMeta struct {
 	done       int       // worker-reported jobs finished under the current claim
 	total      int       // worker-reported claim size
 	lastReport time.Time // last heartbeat/report touching this shard
-	// lastAdvance is the last time this shard made observable progress
-	// (reported done count grew, or a record/error was accounted). A
-	// shard whose lastAdvance trails the fleet's by StealAfter is a
-	// steal victim.
-	lastAdvance time.Time
-	// stolenKeys are job keys cut out of this shard since its current
-	// lease; piggybacked on heartbeat/report responses so the victim
-	// sheds them unrun.
-	stolenKeys []string
 }
 
 // Coordinator serves shards of one expanded job list and folds the
 // fleet's results back into one store and one Outcome list.
 type Coordinator struct {
-	cfg        Config
-	stealMin   int
-	stealAfter time.Duration
-	jobs       []sweep.Job
-	keyIdx     map[string][]int // content key -> job indices (dup keys: all)
-	leases     *leaseTable
-	mon        *sweep.Monitor
-	start      time.Time
+	cfg    Config
+	jobs   []sweep.Job
+	keyIdx map[string][]int // content key -> job indices (dup keys: all)
+	shards [][]int          // shard -> job indices, fixed at boot
+	leases *leaseTable
+	mon    *sweep.Monitor
+	start  time.Time
 
-	mu        sync.Mutex
-	shards    [][]int // shard -> job indices (suffixes move on split)
-	meta      []shardMeta
-	jobShard  []int  // job index -> owning shard (-1: resolved up front)
-	stolen    []bool // job was cut out of its original shard by a steal
-	fleet     time.Time
-	outs      []sweep.Outcome
-	accounted []bool
-	done      int // accounted jobs, store hits included
-	resumed   int
-	errs      int
-	finished  bool
-	aborted   bool
-	doneCh    chan struct{}
+	mu         sync.Mutex
+	meta       []shardMeta
+	outs       []sweep.Outcome
+	accounted  []bool
+	done       int // accounted jobs, store hits included
+	resumed    int
+	errs       int
+	finished   bool
+	finishedAt time.Time
+	aborted    bool
+	told       map[string]bool // workers answered Done
+	doneCh     chan struct{}
 
-	served         *obs.Counter // "sweepd.shards.served"
-	reassigned     *obs.Counter // "sweepd.shards.reassigned"
-	completed      *obs.Counter // "sweepd.shards.completed"
-	splits         *obs.Counter // "sweepd.shards.split"
-	jobsStolen     *obs.Counter // "sweepd.jobs.stolen"
-	stealsRejected *obs.Counter // "sweepd.steals.rejected"
-	recAccepted    *obs.Counter // "sweepd.records.accepted"
-	recDuplicate   *obs.Counter // "sweepd.records.duplicate"
-	recRejected    *obs.Counter // "sweepd.records.rejected"
-	workersAlive   *obs.Gauge   // "sweepd.workers.alive"
+	served       *obs.Counter // "sweepd.shards.served"
+	reassigned   *obs.Counter // "sweepd.shards.reassigned"
+	completed    *obs.Counter // "sweepd.shards.completed"
+	recAccepted  *obs.Counter // "sweepd.records.accepted"
+	recDuplicate *obs.Counter // "sweepd.records.duplicate"
+	recRejected  *obs.Counter // "sweepd.records.rejected"
+	workersAlive *obs.Gauge   // "sweepd.workers.alive"
 }
 
 // now is the coordinator's clock (injectable for tests).
@@ -173,12 +145,6 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	if cfg.RetryMS <= 0 {
 		cfg.RetryMS = 500
 	}
-	if cfg.StealMin <= 0 {
-		cfg.StealMin = DefaultStealMin
-	}
-	if cfg.StealAfter <= 0 {
-		cfg.StealAfter = cfg.LeaseTTL / 2
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = obs.Default
 	}
@@ -187,29 +153,23 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	}
 
 	c := &Coordinator{
-		cfg:        cfg,
-		stealMin:   cfg.StealMin,
-		stealAfter: cfg.StealAfter,
-		jobs:       jobs,
-		keyIdx:     make(map[string][]int, len(jobs)),
-		mon:        cfg.Monitor,
-		start:      time.Now(),
-		outs:       make([]sweep.Outcome, len(jobs)),
-		accounted:  make([]bool, len(jobs)),
-		jobShard:   make([]int, len(jobs)),
-		stolen:     make([]bool, len(jobs)),
-		doneCh:     make(chan struct{}),
+		cfg:       cfg,
+		jobs:      jobs,
+		keyIdx:    make(map[string][]int, len(jobs)),
+		mon:       cfg.Monitor,
+		start:     time.Now(),
+		outs:      make([]sweep.Outcome, len(jobs)),
+		accounted: make([]bool, len(jobs)),
+		told:      make(map[string]bool),
+		doneCh:    make(chan struct{}),
 
-		served:         cfg.Telemetry.Counter("sweepd.shards.served"),
-		reassigned:     cfg.Telemetry.Counter("sweepd.shards.reassigned"),
-		completed:      cfg.Telemetry.Counter("sweepd.shards.completed"),
-		splits:         cfg.Telemetry.Counter("sweepd.shards.split"),
-		jobsStolen:     cfg.Telemetry.Counter("sweepd.jobs.stolen"),
-		stealsRejected: cfg.Telemetry.Counter("sweepd.steals.rejected"),
-		recAccepted:    cfg.Telemetry.Counter("sweepd.records.accepted"),
-		recDuplicate:   cfg.Telemetry.Counter("sweepd.records.duplicate"),
-		recRejected:    cfg.Telemetry.Counter("sweepd.records.rejected"),
-		workersAlive:   cfg.Telemetry.Gauge("sweepd.workers.alive"),
+		served:       cfg.Telemetry.Counter("sweepd.shards.served"),
+		reassigned:   cfg.Telemetry.Counter("sweepd.shards.reassigned"),
+		completed:    cfg.Telemetry.Counter("sweepd.shards.completed"),
+		recAccepted:  cfg.Telemetry.Counter("sweepd.records.accepted"),
+		recDuplicate: cfg.Telemetry.Counter("sweepd.records.duplicate"),
+		recRejected:  cfg.Telemetry.Counter("sweepd.records.rejected"),
+		workersAlive: cfg.Telemetry.Gauge("sweepd.workers.alive"),
 	}
 
 	// Resolve store hits up front, buffering skip events so the run-log
@@ -229,30 +189,10 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 		pending = append(pending, i)
 	}
 	c.shards = sweep.PartitionByKey(jobs, pending, cfg.Shards)
-	// Replay journaled steal cuts on top of the base partition: a
-	// coordinator that crashed mid-split comes back with the post-split
-	// geometry, under the bumped epoch. Cuts whose key is no longer
-	// pending (the stolen job completed) replay as no-ops.
-	if cfg.Journal != nil {
-		for _, key := range cfg.Journal.Cuts {
-			c.replayCut(key)
-		}
-	}
-	for i := range c.jobShard {
-		c.jobShard[i] = -1
-	}
-	for s, idxs := range c.shards {
-		for _, i := range idxs {
-			if c.jobShard[i] < 0 {
-				c.jobShard[i] = s
-			}
-		}
-	}
 	boot := c.now()
-	c.fleet = boot
 	c.meta = make([]shardMeta, len(c.shards))
 	for i := range c.meta {
-		c.meta[i] = shardMeta{lastReport: boot, lastAdvance: boot}
+		c.meta[i] = shardMeta{lastReport: boot}
 	}
 	// Fence this incarnation before any lease exists: a failed journal
 	// save fails the boot, or a later crash could reuse the epoch and
@@ -266,17 +206,11 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	}
 	c.leases = newLeaseTable(len(c.shards), cfg.LeaseTTL, cfg.clock, epoch)
 
-	startFields := map[string]any{
+	_ = cfg.RunLog.Event("sweep_start", map[string]any{
 		"jobs": len(jobs), "pending": len(pending),
 		"resumed": len(skipped), "shards": len(c.shards),
 		"epoch": epoch,
-	}
-	if cfg.Steal {
-		// Only stamped when stealing is on, so an off-mode run-log stays
-		// byte-identical to the pre-steal coordinator's.
-		startFields["steal"] = true
-	}
-	_ = cfg.RunLog.Event("sweep_start", startFields)
+	})
 	for pos, i := range skipped {
 		_ = cfg.RunLog.Event("job_skip", map[string]any{
 			"key": jobs[i].Key(), "label": jobs[i].Label(),
@@ -342,6 +276,7 @@ func (c *Coordinator) finishLocked() {
 		return
 	}
 	c.finished = true
+	c.finishedAt = c.now()
 	end := map[string]any{
 		"ran": c.done - c.resumed, "resumed": c.resumed, "errors": c.errs,
 		"elapsed_ms": float64(time.Since(c.start).Microseconds()) / 1000,
@@ -367,169 +302,20 @@ func (c *Coordinator) pendingJobs(shard int) []sweep.Job {
 	return jobs
 }
 
-// replayCut re-applies one journaled steal cut to the freshly derived
-// partition (boot-time only, no locking). The journal records cuts as
-// the first stolen job's content key because shard indices don't
-// survive a restart: the successor partitions only the still-pending
-// jobs, so the same key sits at a different position. A key that is no
-// longer pending, or that already begins a shard, replays vacuously.
-func (c *Coordinator) replayCut(key string) {
-	for s := range c.shards {
-		for p, i := range c.shards[s] {
-			if c.jobs[i].Key() != key {
-				continue
-			}
-			if p == 0 {
-				return
-			}
-			suffix := append([]int(nil), c.shards[s][p:]...)
-			c.shards[s] = c.shards[s][:p:p]
-			c.shards = append(c.shards, suffix)
-			for _, j := range suffix {
-				c.stolen[j] = true
-			}
-			return
-		}
-	}
-}
-
 // noteProgressLocked folds a worker's piggybacked Done/Total for shard
-// into the coordinator's per-shard view; the caller holds c.mu. A
-// growing done count is observable progress and advances the shard's
-// (and the fleet's) staleness clock.
+// into the coordinator's per-shard view; the caller holds c.mu.
 func (c *Coordinator) noteProgressLocked(shard, done, total int) {
 	if shard < 0 || shard >= len(c.meta) {
 		return
 	}
 	m := &c.meta[shard]
-	now := c.now()
-	m.lastReport = now
+	m.lastReport = c.now()
 	if total > 0 {
 		m.total = total
 	}
 	if done > m.done {
 		m.done = done
-		c.advanceLocked(shard, now)
 	}
-}
-
-// advanceLocked stamps observable progress on shard; caller holds c.mu.
-func (c *Coordinator) advanceLocked(shard int, now time.Time) {
-	if shard < 0 || shard >= len(c.meta) {
-		return
-	}
-	c.meta[shard].lastAdvance = now
-	c.fleet = now
-}
-
-// trySteal is the steal policy, consulted when an idle worker's claim
-// found nothing claimable. It picks the straggler holding the most
-// unreported work — a live-leased shard whose remainder is at least
-// StealMin, that has not advanced for StealAfter, and that the rest of
-// the fleet has advanced past — journals the cut (write-ahead: a crash
-// between the append and the in-memory split recovers post-split), then
-// cuts the victim's unreported suffix into a fresh pending shard the
-// caller's next Claim will win. The victim keeps its lease and its
-// retained prefix; only its reports for stolen jobs are refused, and
-// only per-job. Returns whether a split happened.
-func (c *Coordinator) trySteal(thief string) bool {
-	live := c.leases.Leased()
-	if len(live) == 0 {
-		return false
-	}
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	victim, victimWorker, best := -1, "", 0
-	considered := false
-	for _, l := range live {
-		if l.shard >= len(c.shards) {
-			continue
-		}
-		remaining := 0
-		for _, i := range c.shards[l.shard] {
-			if !c.accounted[i] {
-				remaining++
-			}
-		}
-		if remaining > 0 {
-			considered = true
-		}
-		if remaining < c.stealMin || remaining < 2 {
-			continue
-		}
-		m := &c.meta[l.shard]
-		if now.Sub(m.lastAdvance) < c.stealAfter {
-			continue
-		}
-		// Fleet-ahead check: somebody else advanced after this shard
-		// last did. A uniformly idle fleet (nothing has progressed
-		// anywhere) is not straggling, it is starting up.
-		if !c.fleet.After(m.lastAdvance) {
-			continue
-		}
-		if remaining > best {
-			victim, victimWorker, best = l.shard, l.worker, remaining
-		}
-	}
-	if victim < 0 {
-		if considered {
-			c.stealsRejected.Inc()
-		}
-		return false
-	}
-	// Cut half the unreported remainder, as the positional suffix that
-	// contains k unaccounted jobs and begins at one (the cut key must be
-	// pending for a restart's replay to find it). k <= remaining-1, so
-	// the victim always retains at least one unaccounted job.
-	k := best / 2
-	if k < 1 {
-		k = 1
-	}
-	list := c.shards[victim]
-	p, cnt := len(list)-1, 0
-	for ; p >= 0; p-- {
-		if !c.accounted[list[p]] {
-			cnt++
-			if cnt == k {
-				break
-			}
-		}
-	}
-	if p <= 0 {
-		return false
-	}
-	cutKey := c.jobs[list[p]].Key()
-	if c.cfg.Journal != nil {
-		if err := c.cfg.Journal.AppendCut(cutKey); err != nil {
-			// The cut isn't durable; applying it anyway would let a
-			// crash resurrect pre-split geometry under live post-split
-			// leases. Abandon the steal.
-			return false
-		}
-	}
-	suffix := append([]int(nil), list[p:]...)
-	c.shards[victim] = list[:p:p]
-	newShard := c.leases.Add()
-	c.shards = append(c.shards, suffix)
-	c.meta = append(c.meta, shardMeta{lastReport: now, lastAdvance: now})
-	stolenJobs := 0
-	for _, i := range suffix {
-		c.jobShard[i] = newShard
-		if !c.accounted[i] {
-			c.stolen[i] = true
-			c.meta[victim].stolenKeys = append(c.meta[victim].stolenKeys, c.jobs[i].Key())
-			stolenJobs++
-		}
-	}
-	c.splits.Inc()
-	c.jobsStolen.Add(int64(stolenJobs))
-	_ = c.cfg.RunLog.Event("shard_split", map[string]any{
-		"shard": victim, "worker": victimWorker, "thief": thief,
-		"new_shard": newShard, "cut": cutKey, "jobs": stolenJobs,
-		"epoch": c.leases.Epoch(),
-	})
-	return true
 }
 
 // claim implements shard assignment: hand out the first claimable
@@ -538,37 +324,21 @@ func (c *Coordinator) trySteal(thief string) bool {
 func (c *Coordinator) claim(worker string) ClaimResponse {
 	for {
 		if c.Finished() || c.leases.Done() {
-			if !c.Finished() {
-				c.finish()
-			}
-			return ClaimResponse{Done: true}
+			return c.answerDone(worker)
 		}
 		shard, token, reassigned, ok := c.leases.Claim(worker)
 		c.workersAlive.Set(int64(c.leases.Alive()))
 		if !ok {
 			if c.leases.Done() {
-				c.finish()
-				return ClaimResponse{Done: true}
-			}
-			// An idle worker and no claimable shard is exactly the
-			// straggler window: try to split a stalled shard's suffix
-			// rather than making the claimer wait out a healthy-looking
-			// lease. A successful split loops back into Claim.
-			if c.cfg.Steal && c.trySteal(worker) {
-				continue
+				return c.answerDone(worker)
 			}
 			return ClaimResponse{RetryMS: c.cfg.RetryMS}
 		}
 		c.served.Inc()
 		// A fresh claim resets the shard's progress view: done/total are
-		// the claimant's local counts, staleness starts now, and stolen
-		// keys from a previous holder's split are not this worker's —
-		// its claim never contained them.
+		// the claimant's local counts, and staleness starts now.
 		c.mu.Lock()
-		if shard >= 0 && shard < len(c.meta) {
-			now := c.now()
-			c.meta[shard] = shardMeta{lastReport: now, lastAdvance: now}
-		}
+		c.meta[shard] = shardMeta{lastReport: c.now()}
 		c.mu.Unlock()
 		if reassigned {
 			c.reassigned.Inc()
@@ -596,6 +366,58 @@ func (c *Coordinator) claim(worker string) ClaimResponse {
 	}
 }
 
+// answerDone is every claim's reply once the sweep is over: it closes
+// the sweep out if this claim is the first to notice, and records that
+// worker has heard, which is what Linger waits for.
+func (c *Coordinator) answerDone(worker string) ClaimResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.finishLocked()
+	c.told[worker] = true
+	return ClaimResponse{Done: true}
+}
+
+// lingerPoll is how often Linger re-checks whether every recently seen
+// worker has been answered Done.
+const lingerPoll = 20 * time.Millisecond
+
+// Linger keeps a finished coordinator's caller waiting — and so its
+// HTTP server serving — until every worker heard from within one lease
+// TTL has been answered Done by a claim, one lease TTL has passed since
+// the sweep finished, or ctx ends. A worker that was idle or polling
+// when the last shard completed learns the sweep is over here instead
+// of finding the coordinator gone and waiting out its offline budget.
+// Done still fires at the last shard completion; Linger returns at once
+// before that and after an Abort.
+func (c *Coordinator) Linger(ctx context.Context) {
+	t := time.NewTicker(lingerPoll)
+	defer t.Stop()
+	for c.lingering() {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+	}
+}
+
+// lingering is Linger's condition, read against the coordinator clock.
+func (c *Coordinator) lingering() bool {
+	seen := c.leases.Workers()
+	now := c.now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.finished || c.aborted || now.Sub(c.finishedAt) >= c.cfg.LeaseTTL {
+		return false
+	}
+	for w, since := range seen {
+		if since <= c.cfg.LeaseTTL && !c.told[w] {
+			return true
+		}
+	}
+	return false
+}
+
 // report folds a worker's streamed results in under its lease.
 func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
 	// A valid report is also a heartbeat.
@@ -616,31 +438,15 @@ func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
 		}
 		c.mu.Lock()
 		var fresh []int
-		owned := false
 		for _, i := range idxs {
-			if c.accounted[i] {
-				continue
-			}
-			fresh = append(fresh, i)
-			if !c.stolen[i] || c.jobShard[i] == req.Shard {
-				owned = true
+			if !c.accounted[i] {
+				fresh = append(fresh, i)
 			}
 		}
 		if len(fresh) == 0 {
 			c.mu.Unlock()
 			resp.Duplicates++
 			c.recDuplicate.Inc()
-			continue
-		}
-		// Per-job steal fencing: a record for a job cut out of the
-		// reporting shard belongs to the thief now — refuse it without
-		// touching the lease, so the victim's retained work still
-		// lands. (The thief reporting the same key later is the fresh
-		// accept; if it raced ahead, the victim hit the duplicate path
-		// above instead.)
-		if !owned {
-			c.mu.Unlock()
-			resp.Stolen++
 			continue
 		}
 		// Persist before accounting: a record the coordinator failed to
@@ -650,7 +456,6 @@ func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
 			c.mu.Unlock()
 			return resp, err
 		}
-		c.advanceLocked(req.Shard, c.now())
 		for _, i := range fresh {
 			out := sweep.Outcome{Job: c.jobs[i], Summary: rec.Summary, Worker: -1}
 			// The worker's wall clock for the job rides ElapsedMS; fold
@@ -682,18 +487,11 @@ func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
 			if c.accounted[i] {
 				continue
 			}
-			// A stolen job's failure is the thief's to report (or
-			// succeed at); the victim's error for it is dropped like
-			// its records are.
-			if c.stolen[i] && c.jobShard[i] != req.Shard {
-				continue
-			}
 			out := sweep.Outcome{Job: c.jobs[i], Err: errors.New(je.Error), Worker: -1}
 			c.outs[i] = out
 			c.accounted[i] = true
 			c.done++
 			c.errs++
-			c.advanceLocked(req.Shard, c.now())
 			c.mon.Observe(c.done, len(c.jobs), out)
 			_ = c.cfg.RunLog.Event("job_done", map[string]any{
 				"key": je.Key, "label": c.jobs[i].Label(),
@@ -702,28 +500,18 @@ func (c *Coordinator) report(req ReportRequest) (ReportResponse, error) {
 		}
 		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	if req.Shard >= 0 && req.Shard < len(c.meta) {
-		if keys := c.meta[req.Shard].stolenKeys; len(keys) > 0 {
-			resp.StolenKeys = append([]string(nil), keys...)
-		}
-	}
-	c.mu.Unlock()
 	return resp, nil
 }
 
 // completeShard retires a shard under its lease: verify every job is
 // accounted, sync the store to stable storage, then ack.
 func (c *Coordinator) completeShard(worker string, shard int, token int64) error {
-	c.mu.Lock()
 	// Bounds-check before indexing: the shard number came off the wire
-	// (FuzzProtocolDecode found the panic this guards against). Under
-	// c.mu because splits append shards.
+	// (FuzzProtocolDecode found the panic this guards against).
 	if shard < 0 || shard >= len(c.shards) {
-		n := len(c.shards)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: shard %d of %d", errNoShard, shard, n)
+		return fmt.Errorf("%w: shard %d of %d", errNoShard, shard, len(c.shards))
 	}
+	c.mu.Lock()
 	for _, i := range c.shards[shard] {
 		if !c.accounted[i] {
 			c.mu.Unlock()
@@ -768,16 +556,9 @@ type ShardTally struct {
 	RecordsAccepted  int64 `json:"records_accepted"`
 	RecordsDuplicate int64 `json:"records_duplicate"`
 	RecordsRejected  int64 `json:"records_rejected,omitempty"`
-	// Split counts straggler shards whose unreported suffix was cut
-	// into a new shard; JobsStolen the jobs those cuts moved;
-	// StealsRejected the steal evaluations that found unfinished work
-	// but no eligible victim (all zero with stealing off).
-	Split          int64 `json:"split,omitempty"`
-	JobsStolen     int64 `json:"jobs_stolen,omitempty"`
-	StealsRejected int64 `json:"steals_rejected,omitempty"`
 	// Detail is the per-shard progress view: size, accounted remainder,
-	// the worker-reported done/total, and last-report age — staleness
-	// is observable here even with stealing disabled.
+	// the worker-reported done/total, and last-report age, so a
+	// straggling shard is visible before its lease lapses.
 	Detail []ShardStatus `json:"detail,omitempty"`
 }
 
@@ -787,17 +568,16 @@ type ShardStatus struct {
 	State string `json:"state"` // pending | active | done
 	// Worker is the current (or last) lease holder.
 	Worker string `json:"worker,omitempty"`
-	// Jobs is the shard's current job-list length (splits shrink it);
-	// Remaining counts those not yet accounted coordinator-side.
+	// Jobs is the shard's job-list length; Remaining counts those not
+	// yet accounted coordinator-side.
 	Jobs      int `json:"jobs"`
 	Remaining int `json:"remaining"`
 	// Done/Total echo the lease holder's self-reported progress.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 	// LastReportMS is the age of the last heartbeat/report touching
-	// this shard; StolenJobs counts jobs cut out of it by steals.
+	// this shard.
 	LastReportMS float64 `json:"last_report_ms"`
-	StolenJobs   int     `json:"stolen_jobs,omitempty"`
 }
 
 // WorkerInfo is one worker's liveness row.
@@ -831,15 +611,8 @@ func (c *Coordinator) Status() Status {
 	now := c.now()
 
 	c.mu.Lock()
-	total := len(c.shards)
-	n := len(c.shards)
-	if len(views) < n {
-		// A split can land between the two snapshots; trim to the
-		// shorter view rather than index past it.
-		n = len(views)
-	}
-	detail := make([]ShardStatus, 0, n)
-	for i := 0; i < n; i++ {
+	detail := make([]ShardStatus, 0, len(c.shards))
+	for i := range c.shards {
 		remaining := 0
 		for _, j := range c.shards[i] {
 			if !c.accounted[j] {
@@ -856,7 +629,6 @@ func (c *Coordinator) Status() Status {
 			Done:         m.done,
 			Total:        m.total,
 			LastReportMS: float64(now.Sub(m.lastReport).Microseconds()) / 1000,
-			StolenJobs:   len(m.stolenKeys),
 		})
 	}
 	c.mu.Unlock()
@@ -865,7 +637,7 @@ func (c *Coordinator) Status() Status {
 		Sweep: c.mon.Status(),
 		Epoch: c.leases.Epoch(),
 		Shards: ShardTally{
-			Total:            total,
+			Total:            len(c.shards),
 			Pending:          pending,
 			Active:           active,
 			Completed:        done,
@@ -874,9 +646,6 @@ func (c *Coordinator) Status() Status {
 			RecordsAccepted:  c.recAccepted.Load(),
 			RecordsDuplicate: c.recDuplicate.Load(),
 			RecordsRejected:  c.recRejected.Load(),
-			Split:            c.splits.Load(),
-			JobsStolen:       c.jobsStolen.Load(),
-			StealsRejected:   c.stealsRejected.Load(),
 			Detail:           detail,
 		},
 	}
@@ -922,16 +691,10 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		c.workersAlive.Set(int64(c.leases.Alive()))
-		resp := HeartbeatResponse{OK: true}
 		c.mu.Lock()
 		c.noteProgressLocked(req.Shard, req.Done, req.Total)
-		if req.Shard >= 0 && req.Shard < len(c.meta) {
-			if keys := c.meta[req.Shard].stolenKeys; len(keys) > 0 {
-				resp.StolenKeys = append([]string(nil), keys...)
-			}
-		}
 		c.mu.Unlock()
-		writeJSON(w, resp)
+		writeJSON(w, OKResponse{OK: true})
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
 		var req ReportRequest

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -49,11 +48,8 @@ func fuzzCoordinator() (*Coordinator, error) {
 			fuzzOnce.err = err
 			return
 		}
-		// Stealing on with a hair-trigger staleness threshold: fuzzed
-		// claims against leased-out shards walk the trySteal path too.
 		fuzzOnce.handler, fuzzOnce.err = NewCoordinator(jobs, Config{
 			Name: "fuzz", Store: store, Shards: 2, Telemetry: obs.NewRegistry(),
-			Steal: true, StealAfter: time.Millisecond,
 		})
 	})
 	return fuzzOnce.handler, fuzzOnce.err
@@ -69,9 +65,9 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add([]byte(`[[[[[[[[`), byte(2))
 	f.Add([]byte(`{"shard":4294967296,"lease":9223372036854775807}`), byte(1))
 	f.Add([]byte("{\"worker\":\"\x00\xff\"}"), byte(0))
-	// Progress piggyback fields (done/total on heartbeat and report) and
-	// the stolen-keys response path: adversarial counts must never leak
-	// out of the per-shard bookkeeping as a panic or 5xx.
+	// Progress piggyback fields (done/total on heartbeat and report):
+	// adversarial counts must never leak out of the per-shard
+	// bookkeeping as a panic or 5xx.
 	f.Add([]byte(`{"worker":"w1","shard":0,"lease":1,"done":3,"total":9}`), byte(1))
 	f.Add([]byte(`{"worker":"w1","shard":0,"lease":1,"done":7,"total":2,"records":[{"key":"k","job":{},"summary":{}}]}`), byte(2))
 	f.Add([]byte(`{"worker":"w1","shard":1,"lease":1,"done":-3,"total":99999999999999999}`), byte(1))

@@ -31,18 +31,14 @@ type Journal struct {
 	// Shards is the shard-count geometry of the sweep this journal
 	// belongs to (0: not yet recorded; the coordinator's Config wins).
 	Shards int `json:"shards"`
-	// Cuts records every steal's cut point as the content key of the
-	// first stolen job. Shard indices are meaningless across restarts
-	// (the pending set differs), but the cut key locates the same
-	// boundary in the re-derived partition, so a successor replays the
-	// post-split geometry before issuing any lease. A cut whose key is
-	// no longer pending (the job completed) replays as a no-op.
-	Cuts []string `json:"cuts,omitempty"`
 }
 
 // OpenJournal reads the journal at path, or returns a zero journal if
 // none exists yet. A corrupt journal is an error, not a silent reset —
-// resetting the epoch would un-fence stale workers.
+// resetting the epoch would un-fence stale workers. Unknown fields are
+// ignored, so a journal an older coordinator wrote with its work-stealing
+// "cuts" list still opens; the successor partitions the remaining jobs
+// by Shards alone and the bumped epoch fences every pre-crash lease.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path}
 	data, err := os.ReadFile(path)
@@ -71,19 +67,6 @@ func (j *Journal) Bump(shards int) error {
 		j.Shards = shards
 	}
 	return j.Save()
-}
-
-// AppendCut records one steal's cut key and persists before the split
-// is applied in memory — write-ahead, so a coordinator crash between
-// the append and the lease-table update still recovers the post-split
-// geometry. If the save fails the steal must be abandoned.
-func (j *Journal) AppendCut(key string) error {
-	j.Cuts = append(j.Cuts, key)
-	if err := j.Save(); err != nil {
-		j.Cuts = j.Cuts[:len(j.Cuts)-1]
-		return err
-	}
-	return nil
 }
 
 // Save persists the journal atomically: temp file, fsync, rename. A

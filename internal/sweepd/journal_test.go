@@ -10,9 +10,11 @@ package sweepd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -126,198 +128,106 @@ func TestLeaseNoShardIsNotLeaseLost(t *testing.T) {
 // over HTTP: a worker claims from coordinator #1, the coordinator is
 // replaced (same store, same journal), and the worker's held token gets
 // 409 from coordinator #2 — the client maps that to ErrLeaseLost, which
-// sends a real Worker back to claiming.
+// sends a real Worker back to claiming. It runs from a fresh journal
+// and from one an older, work-stealing coordinator left behind, whose
+// "cuts" list must not stop it opening, bumping, or partitioning by
+// its recorded shard count.
 func TestCoordinatorRestartFencesStaleToken(t *testing.T) {
-	dir := t.TempDir()
 	jobs := testJobs(t)
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = j.Key()
+	}
+	sort.Strings(keys)
+	for _, tc := range []struct {
+		name    string
+		journal string // journal on disk before the first boot ("": none)
+		epoch   uint32 // first boot's epoch
+		shards  int    // geometry both boots must partition with
+	}{
+		{name: "fresh", epoch: 1, shards: 4},
+		// keys[1] sits inside shard 0 of the 3-shard partition, so a
+		// coordinator that still replayed the cut would serve 4 shards.
+		{name: "journal-with-cuts", epoch: 7, shards: 3,
+			journal: fmt.Sprintf(`{"epoch": 6, "shards": 3, "cuts": [%q]}`, keys[1])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.journal != "" {
+				if err := os.WriteFile(filepath.Join(dir, "sweep.journal"), []byte(tc.journal), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			newCoord := func() (*Coordinator, *Journal) {
+				t.Helper()
+				store, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { store.Close() })
+				j, err := OpenJournal(filepath.Join(dir, "sweep.journal"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				coord, err := NewCoordinator(jobs, Config{
+					Name: "dist", Store: store, Shards: 4, Journal: j,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := coord.Status().Shards.Total; got != tc.shards {
+					t.Fatalf("coordinator serves %d shards, want the journal's %d", got, tc.shards)
+				}
+				return coord, j
+			}
 
-	newCoord := func() (*Coordinator, *Journal) {
-		t.Helper()
-		store, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		j, err := OpenJournal(filepath.Join(dir, "sweep.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord, err := NewCoordinator(jobs, Config{
-			Name: "dist", Store: store, Shards: 4, Journal: j,
+			ctx := context.Background()
+			c1, j1 := newCoord()
+			if j1.Epoch != tc.epoch {
+				t.Fatalf("first boot epoch = %d, want %d", j1.Epoch, tc.epoch)
+			}
+			srv1 := httptest.NewServer(c1.Handler())
+			cl1 := newClient(srv1.URL, srv1.Client(), 1, time.Millisecond, 0, 0, nil)
+			var resp ClaimResponse
+			if err := cl1.post(ctx, "/claim", ClaimRequest{Worker: "w1"}, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Shard == nil {
+				t.Fatalf("claim = %+v, want a shard", resp)
+			}
+			shard, stale := resp.Shard.ID, resp.Shard.Lease
+			if uint32(stale>>32) != tc.epoch {
+				t.Fatalf("token %d does not embed epoch %d", stale, tc.epoch)
+			}
+			srv1.Close() // crash: no store close, no lease handover
+
+			c2, j2 := newCoord()
+			if j2.Epoch != tc.epoch+1 {
+				t.Fatalf("second boot epoch = %d, want %d", j2.Epoch, tc.epoch+1)
+			}
+			if got := c2.Status().Epoch; got != tc.epoch+1 {
+				t.Fatalf("/status epoch = %d, want %d", got, tc.epoch+1)
+			}
+			srv2 := httptest.NewServer(c2.Handler())
+			defer srv2.Close()
+			cl2 := newClient(srv2.URL, srv2.Client(), 1, time.Millisecond, 0, 0, nil)
+			err := cl2.post(ctx, "/heartbeat", HeartbeatRequest{Worker: "w1", Shard: shard, Lease: stale}, &OKResponse{})
+			if !errors.Is(err, ErrLeaseLost) {
+				t.Fatalf("stale heartbeat after restart = %v, want ErrLeaseLost", err)
+			}
+			err = cl2.post(ctx, "/report", ReportRequest{Worker: "w1", Shard: shard, Lease: stale}, &ReportResponse{})
+			if !errors.Is(err, ErrLeaseLost) {
+				t.Fatalf("stale report after restart = %v, want ErrLeaseLost", err)
+			}
+			// And the fenced worker's recovery move works: a fresh claim
+			// under the new epoch.
+			var resp2 ClaimResponse
+			if err := cl2.post(ctx, "/claim", ClaimRequest{Worker: "w1"}, &resp2); err != nil {
+				t.Fatal(err)
+			}
+			if resp2.Shard == nil || uint32(resp2.Shard.Lease>>32) != tc.epoch+1 {
+				t.Fatalf("re-claim = %+v, want an epoch-%d lease", resp2, tc.epoch+1)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return coord, j
-	}
-
-	ctx := context.Background()
-	c1, j1 := newCoord()
-	if j1.Epoch != 1 {
-		t.Fatalf("first boot epoch = %d, want 1", j1.Epoch)
-	}
-	srv1 := httptest.NewServer(c1.Handler())
-	cl1 := newClient(srv1.URL, srv1.Client(), 1, time.Millisecond, 0, 0, nil)
-	var resp ClaimResponse
-	if err := cl1.post(ctx, "/claim", ClaimRequest{Worker: "w1"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Shard == nil {
-		t.Fatalf("claim = %+v, want a shard", resp)
-	}
-	shard, stale := resp.Shard.ID, resp.Shard.Lease
-	if stale>>32 != 1 {
-		t.Fatalf("token %d does not embed epoch 1", stale)
-	}
-	srv1.Close() // crash: no store close, no lease handover
-
-	c2, j2 := newCoord()
-	if j2.Epoch != 2 {
-		t.Fatalf("second boot epoch = %d, want 2", j2.Epoch)
-	}
-	if got := c2.Status().Epoch; got != 2 {
-		t.Fatalf("/status epoch = %d, want 2", got)
-	}
-	srv2 := httptest.NewServer(c2.Handler())
-	defer srv2.Close()
-	cl2 := newClient(srv2.URL, srv2.Client(), 1, time.Millisecond, 0, 0, nil)
-	err := cl2.post(ctx, "/heartbeat", HeartbeatRequest{Worker: "w1", Shard: shard, Lease: stale}, &OKResponse{})
-	if !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("stale heartbeat after restart = %v, want ErrLeaseLost", err)
-	}
-	err = cl2.post(ctx, "/report", ReportRequest{Worker: "w1", Shard: shard, Lease: stale}, &ReportResponse{})
-	if !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("stale report after restart = %v, want ErrLeaseLost", err)
-	}
-	// And the fenced worker's recovery move works: a fresh claim under
-	// the new epoch.
-	var resp2 ClaimResponse
-	if err := cl2.post(ctx, "/claim", ClaimRequest{Worker: "w1"}, &resp2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Shard == nil || resp2.Shard.Lease>>32 != 2 {
-		t.Fatalf("re-claim = %+v, want an epoch-2 lease", resp2)
-	}
-}
-
-// TestCoordinatorRestartRecoversJournaledSplit crashes the coordinator
-// after a steal has been journaled and checks the successor recovers
-// the post-split geometry: the cut key — not a shard index, which the
-// re-derived partition would invalidate — is replayed against the
-// successor's own partition of the remaining work, stale pre-crash
-// tokens (the victim's and the thief's) are fenced, and a fresh fleet
-// drains to byte-identical aggregates.
-func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
-	dir := t.TempDir()
-	jobs := testJobs(t)
-	baseOuts, baseMD := baseline(t, jobs)
-	recs := summariesByKey(t, baseOuts)
-
-	// Coordinator #1: three shards of 16 jobs → 5/5/6. The fast worker
-	// holds and clears shards 0 and 1 while the slow one sits on the
-	// 6-job shard 2; fast's next idle claim steals half of its
-	// remainder. (The victim must be the 6-job shard: a 5-job victim's
-	// cut position happens to coincide with a partition boundary of the
-	// successor's re-derived geometry, which would make the replay
-	// vacuously succeed without exercising the split.)
-	store1, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store1.Close() })
-	j1, err := OpenJournal(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	c1, err := NewCoordinator(jobs, Config{
-		Name: "dist", Store: store1, Shards: 3, Journal: j1,
-		LeaseTTL: time.Minute, Steal: true, StealAfter: 10 * time.Second,
-		clock: clk.Now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fastShards := []ClaimResponse{c1.claim("fast"), c1.claim("fast")}
-	slow := c1.claim("slow")
-	if slow.Shard == nil || len(slow.Shard.Jobs) != 6 {
-		t.Fatalf("slow claim = %+v, want the 6-job shard", slow)
-	}
-	clk.Advance(11 * time.Second)
-	for i, fast := range fastShards {
-		if fast.Shard == nil || len(fast.Shard.Jobs) != 5 {
-			t.Fatalf("fast claim %d = %+v, want a 5-job shard", i, fast)
-		}
-		req := ReportRequest{Worker: "fast", Shard: fast.Shard.ID, Lease: fast.Shard.Lease}
-		for _, j := range fast.Shard.Jobs {
-			req.Records = append(req.Records, recs[j.Key()])
-		}
-		if _, err := c1.report(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := c1.completeShard("fast", fast.Shard.ID, fast.Shard.Lease); err != nil {
-			t.Fatal(err)
-		}
-	}
-	thief := c1.claim("fast")
-	if thief.Shard == nil || thief.Shard.ID != 3 || len(thief.Shard.Jobs) != 3 {
-		t.Fatalf("thief claim = %+v, want stolen shard 3 with 3 jobs", thief)
-	}
-	cutKey := slow.Shard.Jobs[3].Key()
-	if len(j1.Cuts) != 1 || j1.Cuts[0] != cutKey {
-		t.Fatalf("journal cuts = %v, want exactly [%s]", j1.Cuts, cutKey)
-	}
-	// Crash: no completes, no store close, both leases left dangling.
-
-	// Successor: stealing off — the replay is unconditional, recovery
-	// must not depend on the feature staying enabled. The journal's
-	// recorded base geometry (3) overrides the changed request, and the
-	// replayed cut makes it 4 shards over the 6 remaining jobs.
-	store2, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store2.Close() })
-	j2, err := OpenJournal(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j2.Cuts) != 1 {
-		t.Fatalf("reopened journal cuts = %v, want the recorded cut", j2.Cuts)
-	}
-	c2, err := NewCoordinator(jobs, Config{
-		Name: "dist", Store: store2, Shards: 5, Journal: j2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Epoch != 2 {
-		t.Fatalf("successor epoch = %d, want 2", j2.Epoch)
-	}
-	st := c2.Status()
-	if st.Shards.Total != 4 {
-		t.Fatalf("successor shard total = %d, want 4 (3 journaled base + 1 replayed split)", st.Shards.Total)
-	}
-
-	// Both pre-crash tokens are fenced by the successor's epoch.
-	if _, err := c2.report(ReportRequest{
-		Worker: "slow", Shard: slow.Shard.ID, Lease: slow.Shard.Lease,
-		Records: []sweep.Record{recs[slow.Shard.Jobs[0].Key()]},
-	}); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("victim's stale report = %v, want ErrLeaseLost", err)
-	}
-	if err := c2.completeShard("fast", thief.Shard.ID, thief.Shard.Lease); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("thief's stale complete = %v, want ErrLeaseLost", err)
-	}
-
-	// A fresh fleet drains the recovered geometry; dedup over the store
-	// keeps the aggregates byte-identical to the single-process run.
-	runFleet(t, c2, 2)
-	if md := sweep.Markdown("Sweep dist", sweep.Aggregate(c2.Outcomes())); md != baseMD {
-		t.Fatalf("aggregates diverged across crash + split recovery:\n%s\nvs\n%s", md, baseMD)
-	}
-	if n := store2.Len(); n != len(jobs) {
-		t.Fatalf("store holds %d records, want %d", n, len(jobs))
 	}
 }

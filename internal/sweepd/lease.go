@@ -137,41 +137,6 @@ func (t *leaseTable) Complete(worker string, shard int, token int64) error {
 	return nil
 }
 
-// Add appends a fresh pending shard (a steal's stolen suffix) and
-// returns its index. The new shard is served through the ordinary
-// Claim path.
-func (t *leaseTable) Add() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.shards = append(t.shards, shardLease{})
-	return len(t.shards) - 1
-}
-
-// liveLease is one row of Leased: a shard currently held under an
-// unexpired lease.
-type liveLease struct {
-	shard  int
-	worker string
-	token  int64
-}
-
-// Leased snapshots every shard held under a live (unexpired) lease.
-// The steal policy uses it to enumerate victims; expired leases are
-// excluded because lease expiry already reassigns those.
-func (t *leaseTable) Leased() []liveLease {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	var out []liveLease
-	for i := range t.shards {
-		s := &t.shards[i]
-		if s.state == shardLeased && !now.After(s.expiry) {
-			out = append(out, liveLease{shard: i, worker: s.worker, token: s.token})
-		}
-	}
-	return out
-}
-
 // shardView is one shard's assignment state for /status: "pending",
 // "active" (live lease), or "done", plus the current or last holder.
 type shardView struct {

@@ -22,8 +22,8 @@ package sweepd
 import "repro/internal/sweep"
 
 // Protocol: JSON request/response bodies over plain HTTP POST. Every
-// lease-scoped call carries (Worker, Shard, Lease); a stale or stolen
-// lease is answered with HTTP 409, which the client surfaces as
+// lease-scoped call carries (Worker, Shard, Lease); a stale or
+// reassigned lease is answered with HTTP 409, which the client surfaces as
 // ErrLeaseLost — never retried, the worker abandons the shard and goes
 // back to claiming.
 
@@ -67,15 +67,6 @@ type HeartbeatRequest struct {
 	Total  int    `json:"total,omitempty"`
 }
 
-// HeartbeatResponse acknowledges a renewal. StolenKeys lists job keys
-// the coordinator has cut out of the shard since the claim (work
-// stealing); the worker should shed them unrun. Empty when stealing is
-// off, which keeps the body identical to the old OKResponse bytes.
-type HeartbeatResponse struct {
-	OK         bool     `json:"ok"`
-	StolenKeys []string `json:"stolen_keys,omitempty"`
-}
-
 // JobError reports a job that executed and failed (as opposed to one
 // the worker never reached — those stay pending and reassign).
 type JobError struct {
@@ -101,18 +92,11 @@ type ReportRequest struct {
 // ReportResponse accounts the report: Accepted records were appended to
 // the store, Duplicates were already there (a reassigned shard's first
 // worker got them in before dying), Rejected failed the key integrity
-// check (Record.Key must equal Record.Job.Key()). Stolen counts records
-// for jobs cut out of this shard by a steal — the record was not
-// accepted under this shard (the thief owns the job now; if the thief
-// already reported it the result deduped instead), and StolenKeys names
-// every such key so the victim can stop running the rest of the stolen
-// suffix.
+// check (Record.Key must equal Record.Job.Key()).
 type ReportResponse struct {
-	Accepted   int      `json:"accepted"`
-	Duplicates int      `json:"duplicates,omitempty"`
-	Rejected   int      `json:"rejected,omitempty"`
-	Stolen     int      `json:"stolen,omitempty"`
-	StolenKeys []string `json:"stolen_keys,omitempty"`
+	Accepted   int `json:"accepted"`
+	Duplicates int `json:"duplicates,omitempty"`
+	Rejected   int `json:"rejected,omitempty"`
 }
 
 // CompleteRequest marks a shard finished. The coordinator verifies every

@@ -12,6 +12,7 @@ package sweepd
 import (
 	"context"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -47,6 +48,17 @@ func baseline(t *testing.T, jobs []sweep.Job) ([]sweep.Outcome, string) {
 		t.Fatal(err)
 	}
 	return outs, sweep.Markdown("Sweep dist", sweep.Aggregate(outs))
+}
+
+// summariesByKey indexes a single-process run's results, so
+// hand-driven workers can "compute" a job by lookup.
+func summariesByKey(t *testing.T, outs []sweep.Outcome) map[string]sweep.Record {
+	t.Helper()
+	recs := make(map[string]sweep.Record, len(outs))
+	for _, o := range outs {
+		recs[o.Job.Key()] = sweep.Record{Key: o.Job.Key(), Job: o.Job, Summary: o.Summary}
+	}
+	return recs
 }
 
 // runFleet drives a coordinator over httptest with n concurrent workers
@@ -306,5 +318,155 @@ func TestPartitionByKey(t *testing.T) {
 		if !reflect.DeepEqual(parts, again) {
 			t.Fatalf("shards=%d: partition not deterministic", shards)
 		}
+	}
+}
+
+// TestCoordinatorLingersUntilIdleWorkersHearDone pins the end-of-sweep
+// handshake on a fake clock. Done fires at the last shard completion,
+// but the coordinator keeps serving while any worker seen within one
+// lease TTL has not yet been answered Done by a claim: a worker that
+// was idle when the sweep ended would otherwise find the server gone
+// and wait out its offline budget. A worker silent for longer than the
+// TTL does not hold the coordinator, one TTL after the finish it stops
+// waiting regardless, and an aborted sweep does not wait at all.
+func TestCoordinatorLingersUntilIdleWorkersHearDone(t *testing.T) {
+	jobs := testJobs(t)
+	baseOuts, _ := baseline(t, jobs)
+	recs := summariesByKey(t, baseOuts)
+	const ttl = 10 * time.Second
+
+	boot := func() (*Coordinator, *fakeClock) {
+		t.Helper()
+		store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		clk := newFakeClock()
+		c, err := NewCoordinator(jobs, Config{
+			Name: "dist", Store: store, Shards: 2, LeaseTTL: ttl,
+			Telemetry: obs.NewRegistry(), clock: clk.Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, clk
+	}
+	// finishShard reports every job of a claimed shard, then completes it.
+	finishShard := func(c *Coordinator, worker string, cl ClaimResponse) {
+		t.Helper()
+		if cl.Shard == nil {
+			t.Fatalf("%s's claim = %+v, want a shard", worker, cl)
+		}
+		req := ReportRequest{Worker: worker, Shard: cl.Shard.ID, Lease: cl.Shard.Lease}
+		for _, j := range cl.Shard.Jobs {
+			req.Records = append(req.Records, recs[j.Key()])
+		}
+		if _, err := c.report(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.completeShard(worker, cl.Shard.ID, cl.Shard.Lease); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lingerReturns := func(c *Coordinator) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		c.Linger(ctx)
+		if ctx.Err() != nil {
+			t.Fatal("Linger still waiting with nobody left to tell")
+		}
+	}
+
+	c, clk := boot()
+	a, b := c.claim("a"), c.claim("b")
+	// ghost polls while both shards are leased, then goes silent.
+	if r := c.claim("ghost"); r.Shard != nil || r.Done {
+		t.Fatalf("third claim = %+v, want a retry hint", r)
+	}
+	if c.lingering() {
+		t.Fatal("lingering before the sweep finished")
+	}
+	clk.Advance(5 * time.Second)
+	finishShard(c, "a", a)
+	finishShard(c, "b", b)
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("Done did not fire at the last shard completion")
+	}
+	if !c.lingering() {
+		t.Fatal("stopped serving before any worker heard Done")
+	}
+	// ghost was last seen 11 s ago, a and b 6 s ago.
+	clk.Advance(6 * time.Second)
+	if r := c.claim("a"); !r.Done {
+		t.Fatalf("claim after the finish = %+v, want done", r)
+	}
+	if !c.lingering() {
+		t.Fatal("stopped serving before b heard Done")
+	}
+	c.claim("b")
+	if c.lingering() {
+		t.Fatal("still serving after every recently seen worker heard Done")
+	}
+	lingerReturns(c)
+
+	// The bound: nobody is told, and one TTL after the finish the
+	// coordinator stops waiting anyway.
+	c, clk = boot()
+	a, b = c.claim("a"), c.claim("b")
+	finishShard(c, "a", a)
+	finishShard(c, "b", b)
+	clk.Advance(ttl - time.Millisecond)
+	if !c.lingering() {
+		t.Fatal("stopped serving before the TTL bound with workers untold")
+	}
+	clk.Advance(time.Millisecond)
+	if c.lingering() {
+		t.Fatal("still serving one lease TTL after the finish")
+	}
+	lingerReturns(c)
+
+	// An aborted sweep does not linger.
+	c, _ = boot()
+	c.claim("a")
+	c.Abort()
+	if c.lingering() {
+		t.Fatal("lingering after an abort")
+	}
+
+	// On the real clock, with Linger polling while a live fleet's
+	// claims are answered: every worker exits on a Done reply, so Linger
+	// returns long before the one-minute TTL.
+	store, err := sweep.OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	live, err := NewCoordinator(jobs, Config{
+		Name: "dist", Store: store, Shards: 4, LeaseTTL: time.Minute,
+		Telemetry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	lingered := make(chan struct{})
+	go func() {
+		defer close(lingered)
+		select {
+		case <-live.Done():
+			live.Linger(ctx)
+		case <-ctx.Done():
+		}
+	}()
+	runFleet(t, live, 2)
+	select {
+	case <-lingered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Linger still waiting after every worker heard Done")
 	}
 }

@@ -172,24 +172,8 @@ func (w *Worker) runShard(ctx context.Context, shard *ShardClaim) error {
 	defer cancel()
 
 	// jobsDone mirrors the scheduler's progress count for the Done/Total
-	// fields heartbeats and reports piggyback; stolenSet collects keys
-	// the coordinator cut out of this shard (work stealing) so the
-	// scheduler sheds them unrun via Options.Drop. Learning about a
-	// steal is best-effort — a job run anyway just reports a record the
-	// coordinator refuses (or dedups), which is harmless by design.
+	// fields heartbeats and reports piggyback.
 	var jobsDone atomic.Int64
-	var stolenMu sync.Mutex
-	stolenSet := make(map[string]bool)
-	noteStolen := func(keys []string) {
-		if len(keys) == 0 {
-			return
-		}
-		stolenMu.Lock()
-		for _, k := range keys {
-			stolenSet[k] = true
-		}
-		stolenMu.Unlock()
-	}
 
 	var lost, offline atomic.Bool
 	abandon := func(err error) {
@@ -226,16 +210,13 @@ func (w *Worker) runShard(ctx context.Context, shard *ShardClaim) error {
 			case <-shardCtx.Done():
 				return
 			case <-t.C:
-				var resp HeartbeatResponse
 				err := w.c.post(shardCtx, "/heartbeat", HeartbeatRequest{
 					Worker: w.o.Name, Shard: shard.ID, Lease: shard.Lease,
 					Done: int(jobsDone.Load()), Total: len(shard.Jobs),
-				}, &resp)
+				}, &OKResponse{})
 				if err != nil {
 					abandon(err)
-					continue
 				}
-				noteStolen(resp.StolenKeys)
 			}
 		}
 	}()
@@ -285,31 +266,18 @@ func (w *Worker) runShard(ctx context.Context, shard *ShardClaim) error {
 			// Report outside shardCtx: a drained in-flight job's record
 			// is still worth delivering after a local cancel (though not
 			// after a lease loss — the coordinator refuses it anyway).
-			var resp ReportResponse
-			if err := w.c.post(ctx, "/report", req, &resp); err != nil {
+			if err := w.c.post(ctx, "/report", req, &ReportResponse{}); err != nil {
 				abandon(err)
-				continue
 			}
-			noteStolen(resp.StolenKeys)
 		}
 	}()
 
 	opts := w.o.Opts
 	opts.Store = nil
-	opts.Drop = func(j sweep.Job) bool {
-		stolenMu.Lock()
-		defer stolenMu.Unlock()
-		return stolenSet[j.Key()]
-	}
 	opts.Progress = func(done, total int, out sweep.Outcome) {
 		jobsDone.Store(int64(done))
 		if w.o.OnOutcome != nil {
 			w.o.OnOutcome(out)
-		}
-		if out.Dropped {
-			// A shed stolen job produced nothing to report; the thief
-			// owns it now.
-			return
 		}
 		outcomes <- out
 	}
